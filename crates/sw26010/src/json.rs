@@ -16,7 +16,7 @@
 //! slice) so integer fields survive the round trip exactly — `u64::MAX`
 //! cycles would be corrupted by an intermediate `f64`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Escape a string for embedding inside a JSON string literal. Handles
 /// quotes, backslashes and control characters; everything else passes
@@ -121,15 +121,53 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Journal, profile and
+/// trace documents nest under ten levels; the cap stops a hostile file of
+/// nested brackets from overflowing the recursive descent's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// More than [`MAX_DEPTH`] nested arrays/objects; `offset` is the byte
+    /// of the bracket that crossed the cap.
+    TooDeep { offset: usize },
+    /// Malformed, truncated or trailing text.
+    Syntax(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::TooDeep { offset } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at byte {offset}")
+            }
+            ParseError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for ParseError {
+    fn from(msg: String) -> Self {
+        ParseError::Syntax(msg)
+    }
+}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Parse a complete JSON document. Rejects trailing data, raw control bytes
-/// in strings, malformed escapes and truncated input — a hand-edited or
-/// corrupted file is reported, not trusted.
-pub fn parse(text: &str) -> Result<Json, String> {
+/// in strings, malformed escapes, truncated input and nesting deeper than
+/// [`MAX_DEPTH`] — a hand-edited or corrupted file is reported, not trusted.
+pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(format!("trailing data at byte {}", p.pos).into());
     }
     Ok(v)
 }
@@ -160,11 +198,16 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'n' => self.lit(b"null", Json::Null),
-            b't' => self.lit(b"true", Json::Bool(true)),
-            b'f' => self.lit(b"false", Json::Bool(false)),
+    /// One value inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        let c = self.peek()?;
+        if matches!(c, b'[' | b'{') && depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { offset: self.pos });
+        }
+        match c {
+            b'n' => Ok(self.lit(b"null", Json::Null)?),
+            b't' => Ok(self.lit(b"true", Json::Bool(true))?),
+            b'f' => Ok(self.lit(b"false", Json::Bool(false))?),
             b'"' => Ok(Json::Str(self.string()?)),
             b'[' => {
                 self.pos += 1;
@@ -174,14 +217,14 @@ impl Parser<'_> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.peek()? {
                         b',' => self.pos += 1,
                         b']' => {
                             self.pos += 1;
                             return Ok(Json::Arr(items));
                         }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
                     }
                 }
             }
@@ -196,22 +239,24 @@ impl Parser<'_> {
                     self.skip_ws();
                     let key = self.string()?;
                     if self.peek()? != b':' {
-                        return Err(format!("expected ':' at byte {}", self.pos));
+                        return Err(format!("expected ':' at byte {}", self.pos).into());
                     }
                     self.pos += 1;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     match self.peek()? {
                         b',' => self.pos += 1,
                         b'}' => {
                             self.pos += 1;
                             return Ok(Json::Obj(fields));
                         }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                        _ => {
+                            return Err(format!("expected ',' or '}}' at byte {}", self.pos).into())
+                        }
                     }
                 }
             }
-            c if c == b'-' || c.is_ascii_digit() => self.number(),
-            c => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
+            c if c == b'-' || c.is_ascii_digit() => Ok(self.number()?),
+            c => Err(format!("unexpected '{}' at byte {}", c as char, self.pos).into()),
         }
     }
 
@@ -399,6 +444,29 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\"raw\x01control\"").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)), Err(ParseError::TooDeep { offset: MAX_DEPTH }));
+        // Unterminated chains far past the cap fail fast instead of
+        // overflowing the stack.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, ParseError::TooDeep { offset: MAX_DEPTH });
+        assert_eq!(err.to_string(), format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+    }
+
+    #[test]
+    fn object_nesting_is_capped_too() {
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // Each level is 5 bytes (`{"a":`), so the first rejected brace is
+        // at byte 5 · MAX_DEPTH.
+        let offset = 5 * MAX_DEPTH;
+        assert_eq!(parse(&objects(MAX_DEPTH + 1)), Err(ParseError::TooDeep { offset }));
+        assert_eq!(parse(&"{\"a\":".repeat(200_000)), Err(ParseError::TooDeep { offset }));
     }
 
     #[test]

@@ -542,22 +542,7 @@ impl Interp<'_> {
                 let data =
                     self.buf_data_sized(cg, *src, dims.iter().product(), "rotate_filter")?;
                 let w = Tensor::from_vec(dims, data);
-                let mut out =
-                    Tensor::zeros(vec![shape.ni, shape.no, shape.kr, shape.kc]);
-                for no in 0..shape.no {
-                    for ni in 0..shape.ni {
-                        for kr in 0..shape.kr {
-                            for kc in 0..shape.kc {
-                                *out.at_mut(&[
-                                    ni,
-                                    no,
-                                    shape.kr - 1 - kr,
-                                    shape.kc - 1 - kc,
-                                ]) = w.at(&[no, ni, kr, kc]);
-                            }
-                        }
-                    }
-                }
+                let out = swtensor::conv_grad::rotate_filter(shape, &w);
                 self.write_buf(cg, *dst, out.data())
             }
             TransformKind::PadSubmatrix {

@@ -37,11 +37,11 @@ impl Shape {
         s
     }
 
-    /// Linear row-major offset of a multi-index.
+    /// Linear row-major offset of a multi-index (Horner's rule over the
+    /// dims, so no stride vector is built).
     pub fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.rank());
-        let strides = self.row_major_strides();
-        idx.iter().zip(&strides).map(|(i, s)| i * s).sum()
+        idx.iter().zip(&self.0).fold(0, |off, (i, d)| off * d + i)
     }
 
     /// Permute the dimensions: `perm[i]` is the source axis of new axis `i`.
@@ -87,6 +87,26 @@ mod tests {
         assert_eq!(s.row_major_strides(), vec![12, 4, 1]);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 0, 0]), 0);
+
+        // Every index of ranks 1-5 maps to the stride dot product, and the
+        // row-major walk visits offsets 0, 1, 2, ... in order.
+        for dims in [vec![7], vec![3, 5], vec![2, 3, 4], vec![2, 1, 3, 2], vec![2, 3, 1, 2, 3]] {
+            let s = Shape::new(dims.clone());
+            let strides = s.row_major_strides();
+            let mut idx = vec![0usize; dims.len()];
+            for expect in 0..s.numel() {
+                let dot: usize = idx.iter().zip(&strides).map(|(i, st)| i * st).sum();
+                assert_eq!(s.offset(&idx), dot, "{s} at {idx:?}");
+                assert_eq!(dot, expect, "{s} at {idx:?}");
+                for d in (0..dims.len()).rev() {
+                    idx[d] += 1;
+                    if idx[d] < dims[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                }
+            }
+        }
     }
 
     #[test]

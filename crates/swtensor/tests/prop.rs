@@ -1,9 +1,12 @@
 //! Property-based tests for the tensor substrate: every decomposition of
-//! convolution must agree with the naive MAC reference on arbitrary shapes.
+//! convolution must agree with the naive MAC reference on arbitrary shapes,
+//! and the golden references themselves must be bit-identical to the
+//! literal Algorithm-1 loop nest.
 
 use proptest::prelude::*;
 use swtensor::compare::allclose;
 use swtensor::conv::{conv2d_ref, ConvShape};
+use swtensor::conv_grad::{conv2d_backward_data_ref, conv2d_backward_filter_ref};
 use swtensor::gemm::{gemm_ref, MatLayout};
 use swtensor::im2col::conv2d_explicit_ref;
 use swtensor::init::random_tensor;
@@ -24,6 +27,116 @@ fn arb_shape() -> impl Strategy<Value = ConvShape> {
             pad,
         },
     )
+}
+
+/// Algorithm 1 verbatim: the 7-deep `(B, Ro, Co, Kr, Kc, No, Ni)` MAC nest
+/// over multi-index accessors. The oracle the fast references must match
+/// bit for bit.
+fn alg1_conv(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(shape.output_shape());
+    let (ri, ci) = (shape.ri(), shape.ci());
+    for b in 0..shape.b {
+        for ro in 0..shape.ro {
+            for co in 0..shape.co {
+                for kr in 0..shape.kr {
+                    for kc in 0..shape.kc {
+                        let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
+                        let c = (co * shape.stride + kc) as isize - shape.pad as isize;
+                        if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
+                            continue; // zero padding
+                        }
+                        let (r, c) = (r as usize, c as usize);
+                        for no in 0..shape.no {
+                            let mut acc = out.at(&[b, no, ro, co]);
+                            for ni in 0..shape.ni {
+                                acc += input.at(&[b, ni, r, c]) * weight.at(&[no, ni, kr, kc]);
+                            }
+                            *out.at_mut(&[b, no, ro, co]) = acc;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Backward-data oracle: the hand-rotated filter through [`alg1_conv`].
+fn alg1_backward_data(shape: &ConvShape, d_out: &Tensor, weight: &Tensor) -> Tensor {
+    let mut w_rot = Tensor::zeros([shape.ni, shape.no, shape.kr, shape.kc]);
+    for no in 0..shape.no {
+        for ni in 0..shape.ni {
+            for kr in 0..shape.kr {
+                for kc in 0..shape.kc {
+                    *w_rot.at_mut(&[ni, no, shape.kr - 1 - kr, shape.kc - 1 - kc]) =
+                        weight.at(&[no, ni, kr, kc]);
+                }
+            }
+        }
+    }
+    let grad_shape = ConvShape {
+        b: shape.b,
+        ni: shape.no,
+        no: shape.ni,
+        ro: shape.ri(),
+        co: shape.ci(),
+        kr: shape.kr,
+        kc: shape.kc,
+        stride: 1,
+        pad: shape.kr - 1 - shape.pad,
+    };
+    alg1_conv(&grad_shape, d_out, &w_rot)
+}
+
+/// Backward-filter oracle: the `(no, ni, kr, kc)` nest summing over
+/// `(b, ro, co)` through multi-index accessors.
+fn alg1_backward_filter(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
+    let (ri, ci) = (shape.ri(), shape.ci());
+    let mut dw = Tensor::zeros(shape.weight_shape());
+    for no in 0..shape.no {
+        for ni in 0..shape.ni {
+            for kr in 0..shape.kr {
+                for kc in 0..shape.kc {
+                    let mut acc = 0.0f32;
+                    for b in 0..shape.b {
+                        for ro in 0..shape.ro {
+                            for co in 0..shape.co {
+                                let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
+                                let c = (co * shape.stride + kc) as isize - shape.pad as isize;
+                                if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
+                                    continue;
+                                }
+                                acc += d_out.at(&[b, no, ro, co])
+                                    * input.at(&[b, ni, r as usize, c as usize]);
+                            }
+                        }
+                    }
+                    *dw.at_mut(&[no, ni, kr, kc]) = acc;
+                }
+            }
+        }
+    }
+    dw
+}
+
+/// Convolutions with kernel 1/3/5/7, stride `1..=max_stride`, padding
+/// `0..k`, batch 1-3 and non-square output (`ro ≠ co`). Output sizes start
+/// at the smallest that leaves a non-empty input.
+fn arb_bitexact_shape(max_stride: usize) -> impl Strategy<Value = ConvShape> {
+    (0usize..4, 1..max_stride + 1, 0usize..7, 0usize..4, 0usize..4, 1usize..4, 1usize..4, 1usize..4)
+        .prop_map(|(ki, stride, pad, dr, dc, b, ni, no)| {
+            let k = [1, 3, 5, 7][ki];
+            let pad = pad % k;
+            // Smallest output with (o - 1)·stride + k > 2·pad.
+            let min_out = 1 + (2 * pad + 1).saturating_sub(k).div_ceil(stride);
+            let ro = min_out + dr;
+            let co = if dc == dr { ro + 1 } else { min_out + dc };
+            ConvShape { b, ni, no, ro, co, kr: k, kc: k, stride, pad }
+        })
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -102,5 +215,37 @@ proptest! {
         let t = random_tensor([r, c], seed);
         let p = t.padded_to(&[r + pr, c + pc]);
         prop_assert_eq!(Tensor::cropped_to(&p, &[r, c]), t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The forward reference is bit-identical to Algorithm 1.
+    #[test]
+    fn conv_ref_is_bit_identical_to_alg1(shape in arb_bitexact_shape(3), seed in 0u64..1000) {
+        prop_assert!(shape.ro != shape.co);
+        let input = random_tensor(shape.input_shape().dims().to_vec(), seed);
+        let weight = random_tensor(shape.weight_shape().dims().to_vec(), seed + 1);
+        let fast = conv2d_ref(&shape, &input, &weight);
+        prop_assert_eq!(bits(&fast), bits(&alg1_conv(&shape, &input, &weight)));
+    }
+
+    /// Backward-data (stride 1 only) is bit-identical to its oracle.
+    #[test]
+    fn backward_data_ref_is_bit_identical(shape in arb_bitexact_shape(1), seed in 0u64..1000) {
+        let d_out = random_tensor(shape.output_shape().dims().to_vec(), seed);
+        let weight = random_tensor(shape.weight_shape().dims().to_vec(), seed + 1);
+        let fast = conv2d_backward_data_ref(&shape, &d_out, &weight);
+        prop_assert_eq!(bits(&fast), bits(&alg1_backward_data(&shape, &d_out, &weight)));
+    }
+
+    /// Backward-filter is bit-identical to its oracle.
+    #[test]
+    fn backward_filter_ref_is_bit_identical(shape in arb_bitexact_shape(3), seed in 0u64..1000) {
+        let input = random_tensor(shape.input_shape().dims().to_vec(), seed);
+        let d_out = random_tensor(shape.output_shape().dims().to_vec(), seed + 1);
+        let fast = conv2d_backward_filter_ref(&shape, &input, &d_out);
+        prop_assert_eq!(bits(&fast), bits(&alg1_backward_filter(&shape, &input, &d_out)));
     }
 }
